@@ -12,6 +12,7 @@ polyhedral layer normalises constraints to integer coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
@@ -286,17 +287,10 @@ def _as_expr(value: AffineExpr | Number) -> AffineExpr:
 
 def _normalize(expr: AffineExpr, is_equality: bool) -> AffineExpr:
     """Scale to coprime integer coefficients; tighten inequality constants."""
-    from repro.poly.linalg import gcd_list
-
-    denoms = [c.denominator for c in expr.coeffs.values()] + [expr.const.denominator]
-    lcm = 1
-    for d in denoms:
-        from math import gcd as _gcd
-
-        lcm = lcm * d // _gcd(lcm, d)
-    coeffs = {n: c * lcm for n, c in expr.coeffs.items()}
-    const = expr.const * lcm
-    g = gcd_list([int(c) for c in coeffs.values()])
+    scale = lcm(expr.const.denominator, *(c.denominator for c in expr.coeffs.values()))
+    coeffs = {n: c * scale for n, c in expr.coeffs.items()}
+    const = expr.const * scale
+    g = gcd(*(int(c) for c in coeffs.values()))
     if g > 1:
         if is_equality:
             if int(const) % g == 0:

@@ -7,17 +7,19 @@ The polyhedral layer needs four decision procedures:
 - integer optimisation                 (per-dimension bounds, footprints),
 - lexicographic minima                 (AST generation, sampling).
 
-All are provided here by a dense two-phase simplex over
-:class:`fractions.Fraction` (Bland's rule, hence guaranteed termination)
-with branch-and-bound layered on top for integrality.  Problem sizes in
-this code base are tiny (tens of variables), so a textbook implementation
-is both adequate and auditable.
-"""
+All are provided here by a dense two-phase simplex (Bland's rule, hence
+guaranteed termination) with branch-and-bound layered on top for
+integrality.  The tableau is fraction-free, as in lrs and isl's
+``isl_tab``: Python ints over one common denominator (the determinant of
+the current basis), updated by Edmonds' integer pivot, with the
+reduced-cost row pivoted alongside the constraint rows.  Only the
+returned optimum is a :class:`fractions.Fraction`."""
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
@@ -89,9 +91,9 @@ class IlpProblem:
     def minimize(self, objective: AffineExpr, integer: bool = True) -> IlpResult:
         """Minimise ``objective`` subject to the constraints.
 
-        A presolve phase substitutes away unit-coefficient equalities (very
-        common in dependence relations) and solves pure interval systems
-        directly; the simplex/branch-and-bound only sees the residual.
+        An integer presolve substitutes away unit-coefficient equalities
+        (very common in dependence relations) and pure interval systems are
+        solved directly; the simplex/branch-and-bound only sees the residual.
 
         Solves are memoized in :data:`repro.poly.cache.ILP_CACHE`: the key
         preserves constraint order, so a hit is bit-identical to a fresh
@@ -110,7 +112,7 @@ class IlpProblem:
 
     def _minimize_uncached(self, objective: AffineExpr, integer: bool) -> IlpResult:
         faultinject.fire("ilp.solve")
-        constraints, back_subst = _presolve_system(self.constraints)
+        constraints, back_subst = _presolve_system(self.constraints, integer)
         objective = _apply_back_substitutions(objective, back_subst)
         return _solve_presolved(constraints, objective, back_subst, integer)
 
@@ -144,7 +146,7 @@ class IlpProblem:
                 )
                 continue
             if presolved is None:
-                presolved = _presolve_system(self.constraints)
+                presolved = _presolve_system(self.constraints, integer)
             constraints, back_subst = presolved
             reduced = _apply_back_substitutions(objective, back_subst)
             result = _solve_presolved(constraints, reduced, back_subst, integer)
@@ -210,12 +212,14 @@ class IlpProblem:
 
 
 def _presolve_system(
-    constraints: Sequence[Constraint],
+    constraints: Sequence[Constraint], integer: bool
 ) -> Tuple[List[Constraint], List[Tuple[str, AffineExpr]]]:
     """Substitute away equalities with a +-1 coefficient variable.
 
     Unit-coefficient substitution is exact over the integers, so the
-    reduced problem has the same optimum.  Returns the reduced system and
+    reduced problem has the same optimum.  Rational problems are returned
+    unchanged: a substituted row is re-normalised, which tightens its
+    constant to an integer bound.  Returns the reduced system and
     the back-substitution list.  The elimination order depends only on
     the constraints, never on any objective — :meth:`IlpProblem.batch_minimize`
     relies on this to run the presolve once for a whole batch of
@@ -223,7 +227,7 @@ def _presolve_system(
     """
     current = list(constraints)
     back: List[Tuple[str, AffineExpr]] = []
-    changed = True
+    changed = integer
     guard = 0
     while changed and guard < 256:
         guard += 1
@@ -295,6 +299,9 @@ def _solve_presolved(
     if result.status is IlpStatus.OPTIMAL and back_subst:
         assignment = dict(result.assignment)
         for name, expr in reversed(back_subst):
+            # A variable left only in an eliminated equality is free: 0.
+            for free in expr.variables():
+                assignment.setdefault(free, Fraction(0))
             assignment[name] = expr.evaluate(assignment)
         result = IlpResult(result.status, result.value, assignment)
     return result
@@ -360,6 +367,10 @@ def _interval_solve(
 
 
 # -- simplex core ------------------------------------------------------------
+#
+# The rational tableau is ``rows / D`` with ``D > 0``, so every int has the
+# sign of the entry it stands for.  The last row holds the reduced costs
+# and, in its right-hand side, ``-D * objective``.
 
 
 def _simplex_solve(
@@ -377,158 +388,146 @@ def _simplex_solve(
     names = list(names)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
+    kept = [c for c in constraints if not c.is_trivially_true()]
 
-    # Column layout: [v0+, v0-, v1+, v1-, ..., slacks..., artificials...]
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    n_slacks = sum(1 for c in constraints if not c.is_equality)
-    slack_at = 2 * n
-    total_structural = 2 * n + n_slacks
-
-    slack_idx = 0
-    for c in constraints:
-        if c.is_trivially_true():
-            if not c.is_equality:
-                slack_idx += 0  # no slack allocated for skipped rows
-            continue
-        row = [Fraction(0)] * total_structural
+    # Column layout: [v0+, v0-, v1+, v1-, ..., slacks..., artificials..., rhs]
+    n_rows = len(kept)
+    used_cols = 2 * n + sum(1 for c in kept if not c.is_equality)
+    slack = 2 * n
+    tableau: List[List[int]] = []
+    for i, c in enumerate(kept):
+        row = [0] * (used_cols + n_rows + 1)
         for name, coeff in c.expr.coeffs.items():
-            j = index[name]
-            row[2 * j] = coeff
-            row[2 * j + 1] = -coeff
-        b = -c.expr.const
+            j = 2 * index[name]
+            row[j] = int(coeff)
+            row[j + 1] = -int(coeff)
         if not c.is_equality:
             # expr >= 0  <=>  expr - s = 0, s >= 0  <=>  a.x - s = b
-            row[slack_at + slack_idx] = Fraction(-1)
-            slack_idx += 1
-        if b < 0:
+            row[slack] = -1
+            slack += 1
+        row[-1] = -int(c.expr.const)
+        if row[-1] < 0:
             row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
+        row[used_cols + i] = 1
+        tableau.append(row)
 
-    n_rows = len(rows)
-    # Trim unused slack columns (from skipped trivial rows).
-    used_cols = total_structural
-    # Artificial variables, one per row.
-    for i, row in enumerate(rows):
-        row.extend(Fraction(int(k == i)) for k in range(n_rows))
-    n_cols = used_cols + n_rows
-
+    # Phase 1: minimise the sum of the artificial variables, which start
+    # out basic.  Their reduced costs are 0; a structural column's is
+    # minus its column sum.
     basis = [used_cols + i for i in range(n_rows)]
-    tableau = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-
-    # Phase 1: minimise the sum of artificial variables.
-    cost1 = [Fraction(0)] * n_cols
-    for j in range(used_cols, n_cols):
-        cost1[j] = Fraction(1)
-    status = _simplex_iterate(tableau, basis, cost1, n_cols)
+    tableau.append(
+        [-sum(col) for col in zip(*tableau)] if tableau else [0] * (used_cols + 1)
+    )
+    tableau[-1][used_cols:-1] = [0] * n_rows
+    status, denom = _simplex_iterate(tableau, basis, 1, used_cols + n_rows)
     if status is IlpStatus.UNBOUNDED:  # pragma: no cover - phase 1 is bounded
         raise RuntimeError("phase-1 LP cannot be unbounded")
-    phase1_value = _objective_value(tableau, basis, cost1)
-    if phase1_value != 0:
+    if tableau[-1][-1] != 0:
         return IlpResult(IlpStatus.INFEASIBLE)
-    _drive_out_artificials(tableau, basis, used_cols, n_cols)
+    tableau.pop()
+    denom = _drive_out_artificials(tableau, basis, used_cols, denom)
 
-    # Phase 2: original objective over structural columns only.
-    cost2 = [Fraction(0)] * n_cols
+    # Phase 2: the objective (scaled to integers) over the structural
+    # columns.  Artificials still basic sit on all-zero rows (redundant
+    # equalities); they are dropped with the artificial columns.
+    scale = lcm(*(coeff.denominator for coeff in objective.coeffs.values()))
+    cost = [0] * used_cols
     for name, coeff in objective.coeffs.items():
-        j = index[name]
-        cost2[2 * j] = coeff
-        cost2[2 * j + 1] = -coeff
-    status = _simplex_iterate(tableau, basis, cost2, used_cols)
+        j = 2 * index[name]
+        cost[j] = int(coeff * scale)
+        cost[j + 1] = -cost[j]
+    keep = [i for i, col in enumerate(basis) if col < used_cols]
+    basis = [basis[i] for i in keep]
+    tableau = [tableau[i][:used_cols] + tableau[i][-1:] for i in keep]
+    reduced = [c * denom for c in cost] + [0]
+    for row, col in zip(tableau, basis):
+        cb = cost[col]
+        if cb:
+            reduced = [r - cb * x for r, x in zip(reduced, row)]
+    tableau.append(reduced)
+    status, denom = _simplex_iterate(tableau, basis, denom, used_cols)
     if status is IlpStatus.UNBOUNDED:
         return IlpResult(IlpStatus.UNBOUNDED)
 
     assignment: Dict[str, Fraction] = {name: Fraction(0) for name in names}
-    for row_idx, col in enumerate(basis):
+    for row, col in zip(tableau, basis):
         if col < 2 * n:
             name = names[col // 2]
             sign = 1 if col % 2 == 0 else -1
-            assignment[name] += sign * tableau[row_idx][-1]
+            assignment[name] += sign * Fraction(row[-1], denom)
     value = objective.evaluate(assignment)
     return IlpResult(IlpStatus.OPTIMAL, value, assignment)
 
 
-def _objective_value(
-    tableau: List[List[Fraction]], basis: List[int], cost: List[Fraction]
-) -> Fraction:
-    return sum(
-        (cost[col] * tableau[i][-1] for i, col in enumerate(basis)), Fraction(0)
-    )
-
-
-def _reduced_costs(
-    tableau: List[List[Fraction]], basis: List[int], cost: List[Fraction], n_cols: int
-) -> List[Fraction]:
-    # y = c_B B^-1 is implicit: reduced cost_j = c_j - sum_i c_{basis_i} T[i][j]
-    reduced = list(cost[:n_cols])
-    for i, col in enumerate(basis):
-        cb = cost[col]
-        if cb != 0:
-            row = tableau[i]
-            for j in range(n_cols):
-                if row[j] != 0:
-                    reduced[j] -= cb * row[j]
-    return reduced
-
-
 def _simplex_iterate(
-    tableau: List[List[Fraction]],
-    basis: List[int],
-    cost: List[Fraction],
-    allowed_cols: int,
-) -> IlpStatus:
-    """Run simplex pivots (Bland's rule) until optimal or unbounded."""
-    n_rows = len(tableau)
+    tableau: List[List[int]], basis: List[int], denom: int, allowed_cols: int
+) -> Tuple[IlpStatus, int]:
+    """Pivot by Bland's rule until optimal or unbounded; returns the
+    status and the new common denominator."""
+    n_rows = len(basis)
     while True:
-        reduced = _reduced_costs(tableau, basis, cost, allowed_cols)
+        reduced = tableau[-1]
         enter = next((j for j in range(allowed_cols) if reduced[j] < 0), None)
         if enter is None:
-            return IlpStatus.OPTIMAL
-        # Ratio test, Bland tie-break on basis variable index.
+            return IlpStatus.OPTIMAL, denom
+        # Ratio test by cross-multiplication (the denominators cancel),
+        # Bland tie-break on basis variable index.
         leave = None
-        best_ratio: Optional[Fraction] = None
         for i in range(n_rows):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            return IlpStatus.UNBOUNDED
-        _pivot(tableau, basis, leave, enter)
+            return IlpStatus.UNBOUNDED, denom
+        denom = _pivot(tableau, basis, leave, enter, denom)
 
 
 def _pivot(
-    tableau: List[List[Fraction]], basis: List[int], row: int, col: int
-) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [x / pivot for x in tableau[row]]
+    tableau: List[List[int]], basis: List[int], row: int, col: int, denom: int
+) -> int:
+    """Integer (Edmonds) pivot; returns the new common denominator.
+
+    ``M'[i][j] = (M[i][j] * p - M[i][col] * M[row][j]) // denom`` divides
+    exactly, the pivot row keeps its entries and ``p`` becomes the
+    denominator.  A negative ``p`` negates the pivot row first (which
+    negates every new entry), keeping the denominator positive.
+    """
+    prow = tableau[row]
+    p = prow[col]
+    if p < 0:
+        p = -p
+        prow = tableau[row] = [-y for y in prow]
     for i, trow in enumerate(tableau):
-        if i != row and trow[col] != 0:
-            factor = trow[col]
-            tableau[i] = [x - factor * y for x, y in zip(trow, tableau[row])]
+        if i == row:
+            continue
+        f = trow[col]
+        if f:
+            tableau[i] = [(x * p - f * y) // denom for x, y in zip(trow, prow)]
+        elif p != denom:
+            tableau[i] = [x * p // denom for x in trow]
     basis[row] = col
+    return p
 
 
 def _drive_out_artificials(
-    tableau: List[List[Fraction]], basis: List[int], used_cols: int, n_cols: int
-) -> None:
-    """Pivot basic artificial variables out of the basis when possible."""
+    tableau: List[List[int]], basis: List[int], used_cols: int, denom: int
+) -> int:
+    """Pivot basic artificial variables out of the basis when possible;
+    returns the new common denominator."""
     for i in range(len(basis)):
         if basis[i] >= used_cols:
             col = next((j for j in range(used_cols) if tableau[i][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, i, col)
+                denom = _pivot(tableau, basis, i, col, denom)
             # Otherwise the row is all-zero over structural columns
-            # (redundant constraint); leaving the artificial basic at 0 is
-            # harmless for phase 2.
+            # (redundant constraint); phase 2 drops it.
+    return denom
 
 
 # -- branch and bound ---------------------------------------------------------

@@ -430,6 +430,15 @@ class Ticket:
 #: Queue sentinel that tells one worker thread to exit.
 _STOP = object()
 
+
+def _on_spawn(service: "CompileService", name: str) -> None:
+    """Called between registering a worker and starting it (no-op).
+
+    The window the service's lock must cover; tests patch this to start
+    a concurrent ``close()`` exactly there.
+    """
+
+
 #: Readiness states of the drain state machine.
 STATES = ("accepting", "draining", "stopped")
 
@@ -585,20 +594,28 @@ class CompileService:
             if self._started or self._closed:
                 return
             self._started = True
-        for _ in range(self.workers):
-            self._spawn_worker()
-        self._supervisor = threading.Thread(
-            target=self._supervisor_loop, name="akgd-supervisor", daemon=True
-        )
-        self._supervisor.start()
+            for _ in range(self.workers):
+                self._spawn_worker_locked()
+            self._supervisor = threading.Thread(
+                target=self._supervisor_loop, name="akgd-supervisor", daemon=True
+            )
+            self._supervisor.start()
 
-    def _spawn_worker(self) -> None:
+    def _spawn_worker_locked(self) -> None:
+        """Register and start one worker; the caller holds ``_lock``.
+
+        The caller's check of the service state, the registration in
+        ``_threads`` and ``t.start()`` are one step under the lock:
+        ``close()`` never sees a registered thread that has not started,
+        and ``initiate_shutdown()`` places one stop sentinel for every
+        worker registered at that moment.
+        """
         name = f"akgd-worker-{next(self._worker_ids)}"
         t = threading.Thread(
             target=self._worker_loop, args=(name,), name=name, daemon=True
         )
-        with self._lock:
-            self._threads[name] = t
+        self._threads[name] = t
+        _on_spawn(self, name)
         t.start()
 
     def initiate_shutdown(self) -> None:
@@ -634,12 +651,18 @@ class CompileService:
         self.initiate_shutdown()
         if not wait:
             return
-        with self._lock:
-            threads = list(self._threads.values())
-            supervisor = self._supervisor
-        for t in threads:
-            if t is not threading.current_thread():
+        # A stuck worker replaced during the drain hands its sentinel to
+        # the replacement, so join until no registered worker is left.
+        joined = {threading.current_thread()}
+        while True:
+            with self._lock:
+                threads = [t for t in self._threads.values() if t not in joined]
+                supervisor = self._supervisor
+            if not threads:
+                break
+            for t in threads:
                 t.join()
+                joined.add(t)
         with self._lock:
             self._state = "stopped"
         if supervisor is not None and supervisor is not threading.current_thread():
@@ -965,37 +988,35 @@ class CompileService:
                     for name, hb in self._heartbeats.items()
                     if hb[3] is not None and now > hb[3]
                 ]
-                actions = []
+                failed = []
                 for name, (entry, epoch, _started, _deadline) in overdue:
                     self._heartbeats.pop(name)
                     zombie = self._threads.pop(name, None)
                     if zombie is not None:
                         self._zombies[name] = zombie
+                    # The replacement takes the zombie's slot in the same
+                    # locked step, so the live-worker count a concurrent
+                    # initiate_shutdown() places sentinels for never
+                    # changes: a replacement spawned after the drain began
+                    # consumes the sentinel the stuck worker never will.
+                    self._stats["worker_restarts"] += 1
+                    self._spawn_worker_locked()
                     if entry.event.is_set() or entry.epoch != epoch:
-                        actions.append(("spawn", None))
                         continue
                     entry.epoch += 1
-                    if entry.requeues == 0 and not entry.cancelled:
-                        entry.requeues = 1
-                        self._stats["supervisor_requeues"] += 1
-                        actions.append(("requeue", entry))
-                    else:
-                        actions.append(("fail", entry))
-                    actions.append(("spawn", None))
-            for action, entry in actions:
-                if action == "spawn":
-                    with self._lock:
-                        self._stats["worker_restarts"] += 1
-                        if self._closed:
-                            continue
-                    self._spawn_worker()
-                elif action == "requeue":
+                    # Once draining, a requeue would land behind the stop
+                    # sentinels and never run: fail it instead.
+                    if entry.requeues or entry.cancelled or self._closed:
+                        failed.append(entry)
+                        continue
+                    entry.requeues = 1
+                    self._stats["supervisor_requeues"] += 1
                     try:
                         self._queue.put_nowait(entry)
                     except queue.Full:
-                        self._fail_stuck(entry)
-                elif action == "fail":
-                    self._fail_stuck(entry)
+                        failed.append(entry)
+            for entry in failed:
+                self._fail_stuck(entry)
 
     def _fail_stuck(self, entry: _InFlight) -> None:
         """Second strike (or no room to retry): fail all waiters typed."""

@@ -88,6 +88,30 @@ class TestLp:
         assert r.value == 0
         assert r.assignment["y"] == 10
 
+    def test_rational_equality_not_tightened_by_substitution(self):
+        # Substituting x3 = -2*x2 - 1 into the bounds of x3 would normalise
+        # -2*x2 - 1 >= 0 to x2 <= -1 and 2*x2 + 1 >= 0 to x2 >= 0, an
+        # integer tightening that empties the rational set {x2 = -1/2}.
+        x2, x3 = var("x2"), var("x3")
+        p = IlpProblem(
+            [
+                Constraint.eq(x2 * 2 + x3 + 1, 0),
+                Constraint.ge(x3, 0),
+                Constraint.le(x3, 0),
+            ]
+        )
+        r = p.minimize(x2, integer=False)
+        assert r.status is IlpStatus.OPTIMAL
+        assert r.assignment == {"x2": Fraction(-1, 2), "x3": 0}
+        assert p.minimize(x2, integer=True).status is IlpStatus.INFEASIBLE
+
+    def test_variable_only_in_eliminated_equality_is_free(self):
+        # x0 is eliminated as -2*x2; x2 then appears nowhere else.
+        p = IlpProblem([Constraint.eq(var("x0") + var("x2") * 2, 0)])
+        r = p.minimize(var("x0") * 0)
+        assert r.status is IlpStatus.OPTIMAL
+        assert r.assignment == {"x0": 0, "x2": 0}
+
 
 class TestIlp:
     def test_integer_rounding_up(self):

@@ -1,6 +1,7 @@
 """Service-grade fault tolerance: admission control, deadlines,
 quarantine, worker supervision, ticket abandonment and graceful drain."""
 
+import threading
 import time
 
 import pytest
@@ -226,6 +227,44 @@ class TestSupervision:
             assert res.error["type"] == "StageTimeoutError"
             assert "stuck" in res.error["message"]
             assert svc.stats()["supervisor_requeues"] == 1
+
+    def test_close_during_replacement_spawn(self, monkeypatch):
+        """A close() that starts while the supervisor is between
+        registering a replacement worker and starting it neither joins an
+        unstarted thread nor strands the replacement without a stop
+        sentinel; the requeued request still completes."""
+        from repro.service import core
+
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "service.worker:hang#limit=1")
+        svc = CompileService(workers=1, watchdog_seconds=0.5, supervise_interval=0.05)
+        closers: list = []
+        errors: list = []
+
+        def close_now():
+            try:
+                svc.close(wait=True)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def on_spawn(service, name):
+            if service is not svc or name == "akgd-worker-0" or closers:
+                return
+            closer = threading.Thread(target=close_now, name="closer")
+            closers.append(closer)
+            closer.start()
+            # Give close() the time to reach the spawn window.
+            time.sleep(0.2)
+
+        monkeypatch.setattr(core, "_on_spawn", on_spawn)
+        res = svc.run(ServiceRequest("compile", _relu(), name="racy"), timeout=60)
+        assert closers, "the supervisor never replaced the stuck worker"
+        closers[0].join(timeout=60)
+        assert not closers[0].is_alive(), "close() hung on a worker without a sentinel"
+        assert errors == []
+        assert res.ok
+        assert svc.state == "stopped"
+        assert svc.stats()["supervisor_requeues"] == 1
+        assert not any(t.is_alive() for t in svc._threads.values())
 
     def test_healthy_requests_unsupervised_without_watchdog(self):
         with CompileService(workers=1) as svc:
